@@ -20,8 +20,9 @@ Each row records the git commit, a ``dirty`` flag (measured on an
 uncommitted tree -- kept for local trend-spotting, **excluded** from
 every check), the registry plane the measurement ran over
 (``"memory"`` for an in-process store, ``"shared-dir"`` for the
-on-disk plane every multi-shard deployment shares), and for sharded
-rows the host's usable CPU count::
+on-disk plane every multi-shard deployment shares -- both sharded arms
+run over one, so the 1-shard and 4-shard rows compare like with like),
+and for sharded rows the host's usable CPU count::
 
     [{"commit": "...", "dirty": false, "date": "...", "workload": "...",
       "mode": "naive"|"full"|"sharded", "registry": "memory"|"shared-dir",
@@ -49,6 +50,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -162,27 +164,28 @@ def measure(db, spec, naive: bool) -> dict[int, dict]:
     return summaries
 
 
-def measure_sharded(db, shards: int) -> tuple[dict, str]:
+def measure_sharded(db, shards: int, registry_dir: str) -> dict:
     """Closed-loop throughput of an N-shard deployment, direct-to-shard.
 
     Router-less topology: the load generator routes each request on its
     routing key over the shard ring, exactly as the front router would,
     so the number isolates process scale-out from the router hop.
-    Returns the load summary plus the registry-plane tag the deployment
-    ran over (multi-shard supervisors always share an on-disk plane).
+    Every shard count runs over an on-disk registry plane
+    (*registry_dir*, empty at start): left unset, a supervisor gives one
+    shard an in-memory registry but several shards a shared directory,
+    and the pair would not compare like with like.
     """
     supervisor = Supervisor(db, shards, router=False, tracing=False,
-                            drain_grace=3.0)
+                            drain_grace=3.0, registry_dir=registry_dir)
     try:
         supervisor.start()
-        registry = "shared-dir" if supervisor.registry_dir else "memory"
         endpoints = [supervisor.shard_address(i) for i in range(shards)]
         gen = LoadGenerator(
             request_factory=_shard_request,
             concurrency=SHARD_CONCURRENCY,
             endpoints=endpoints,
         )
-        return gen.run(duration=SHARD_DURATION).summary(), registry
+        return gen.run(duration=SHARD_DURATION).summary()
     finally:
         supervisor.stop()
 
@@ -343,7 +346,8 @@ def main() -> int:
         )
         rps: dict[int, float] = {}
         for shards in SHARD_COUNTS:
-            summary, registry = measure_sharded(db, shards)
+            with tempfile.TemporaryDirectory(prefix="repro-registry-") as reg:
+                summary = measure_sharded(db, shards, reg)
             rps[shards] = summary["throughput_rps"]
             entry = {
                 "commit": commit,
@@ -351,7 +355,7 @@ def main() -> int:
                 "date": date,
                 "workload": shard_workload,
                 "mode": "sharded",
-                "registry": registry,
+                "registry": "shared-dir",
                 "shards": shards,
                 "host_cpus": cpus,
                 "topology": "direct",

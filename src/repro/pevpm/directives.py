@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import enum
 
+from ..collective_schedule import OPS as COLLECTIVE_OPS, ROOTED_OPS
 from .expr import compile_expr
 
 __all__ = [
     "ModelError",
     "MessageKind",
     "COLLECTIVE_OPS",
+    "ROOTED_OPS",
     "Directive",
     "Block",
     "Serial",
@@ -120,28 +122,20 @@ class Message(Directive):
         )
 
 
-#: collective operations expressible as directives.  Each lowers to the
-#: exact point-to-point schedule of :mod:`repro.smpi.collectives`
-#: (binomial trees, reduce+bcast, ring) in :mod:`repro.pevpm.interpreter`.
-COLLECTIVE_OPS = ("bcast", "reduce", "allreduce", "allgather")
-
-#: collectives with a meaningful root process (the others involve every
-#: rank symmetrically and reject an explicit root)
-ROOTED_OPS = ("bcast", "reduce")
-
-
 class Collective(Directive):
     """A collective operation over all processes: ``coll_<op> size = <expr>``.
 
-    Unlike :class:`Message`, a collective is *unguarded*: every process
-    executes the directive (as MPI requires), and the interpreter lowers
-    it to that rank's slice of the classic point-to-point schedule --
-    binomial tree for bcast/reduce, reduce-to-root + bcast for
-    allreduce, ring for allgather -- mirroring
-    :mod:`repro.smpi.collectives` operation for operation.  Because the
-    lowered schedule is ordinary send/recv/serial ops with fixed
-    sources, all three engines (scalar, batched, compiled) execute it
-    with zero new semantics, bit-identically.
+    *op* is any of :data:`COLLECTIVE_OPS` (the ops of
+    :mod:`repro.collective_schedule`); *root* matters only for
+    :data:`ROOTED_OPS`.  Unlike :class:`Message`, a collective is
+    *unguarded*: every process executes the directive (as MPI requires),
+    and the interpreter lowers it to that rank's slice of the collective
+    schedule :mod:`repro.smpi.collectives` executes.  The lowered
+    schedule is ordinary send/recv ops, so all three engines (scalar,
+    batched, compiled) execute it with zero new semantics,
+    bit-identically; ``coll_gather``'s wildcard receives make a program
+    divergent, which takes the generator fallback like any racing
+    wildcard receive.
     """
 
     __slots__ = ("op", "size", "root", "_size_ast", "_root_ast")

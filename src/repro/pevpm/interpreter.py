@@ -26,76 +26,9 @@ from .directives import (
 )
 from .expr import evaluate
 from .machine import ProcContext
+from .patterns import emit, lower_collective
 
 __all__ = ["compile_model", "lower_collective", "model_messages"]
-
-
-def lower_collective(
-    op: str, rank: int, nprocs: int, size: int, root: int = 0
-) -> list[tuple]:
-    """Rank *rank*'s point-to-point schedule for one collective.
-
-    Returns ``("send", peer, size)`` / ``("recv", peer)`` records in
-    execution order, mirroring :mod:`repro.smpi.collectives` operation
-    for operation: binomial tree for ``bcast``/``reduce`` (the same
-    lowest-set-bit parent and mask walk), ``allreduce`` as reduce-to-0
-    followed by bcast-from-0, and ``allgather`` as the P-1-step ring
-    (each step sends right and receives from the left -- the machine's
-    sends are non-blocking, so the straight-line order cannot deadlock).
-    Exposed so tests can compare the lowered schedules against the
-    ``smpi`` generators directly.
-    """
-    if nprocs < 1:
-        raise ModelError("nprocs must be >= 1")
-    if not 0 <= rank < nprocs:
-        raise ModelError(f"rank {rank} outside 0..{nprocs - 1}")
-    if size < 0:
-        raise ModelError("collective size must be non-negative")
-    if op in ("bcast", "reduce") and not 0 <= root < nprocs:
-        raise ModelError(f"collective root {root} outside 0..{nprocs - 1}")
-    P = nprocs
-    out: list[tuple] = []
-    if P == 1:
-        return out
-    if op == "bcast":
-        relative = (rank - root) % P
-        if relative != 0:
-            lsb = relative & (-relative)
-            out.append(("recv", (rank - lsb) % P))
-            mask = lsb >> 1
-        else:
-            mask = 1
-            while mask < P:
-                mask <<= 1
-            mask >>= 1
-        while mask >= 1:
-            if relative + mask < P:
-                out.append(("send", (rank + mask) % P, size))
-            mask >>= 1
-        return out
-    if op == "reduce":
-        relative = (rank - root) % P
-        mask = 1
-        while mask < P:
-            if relative & mask:
-                out.append(("send", (rank - mask) % P, size))
-                return out
-            if relative + mask < P:
-                out.append(("recv", (rank + mask) % P))
-            mask <<= 1
-        return out
-    if op == "allreduce":
-        out.extend(lower_collective("reduce", rank, nprocs, size, root=0))
-        out.extend(lower_collective("bcast", rank, nprocs, size, root=0))
-        return out
-    if op == "allgather":
-        right = (rank + 1) % P
-        left = (rank - 1) % P
-        for _ in range(P - 1):
-            out.append(("send", right, size))
-            out.append(("recv", left))
-        return out
-    raise ModelError(f"unknown collective op {op!r}")
 
 
 def _require_int(value, what: str, line: int) -> int:
@@ -159,21 +92,11 @@ def _execute(node: Directive, ctx: ProcContext, names: dict) -> Generator:
         root = _require_int(
             evaluate(node._root_ast, names), "Collective root", node.line
         )
-        if size < 0:
-            raise ModelError(f"line {node.line}: negative collective size {size}")
-        if node.op in ("bcast", "reduce") and not 0 <= root < ctx.numprocs:
-            raise ModelError(
-                f"line {node.line}: collective root {root} outside "
-                f"0..{ctx.numprocs - 1}"
-            )
-        label = f"coll_{node.op}@{node.line}"
-        for prim in lower_collective(
-            node.op, ctx.procnum, ctx.numprocs, size, root
-        ):
-            if prim[0] == "send":
-                yield ctx.send(prim[1], prim[2], label=label)
-            else:
-                yield ctx.recv(prim[1], label=label)
+        try:
+            ops = lower_collective(node.op, ctx.procnum, ctx.numprocs, size, root)
+        except ModelError as exc:
+            raise ModelError(f"line {node.line}: {exc}") from None
+        yield from emit(ctx, ops, f"coll_{node.op}@{node.line}")
     else:
         raise ModelError(f"unknown directive node {type(node).__name__}")
 

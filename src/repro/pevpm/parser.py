@@ -10,10 +10,13 @@ The annotation grammar, reconstructed from the paper's listing:
   block per condition (an if / else-if chain);
 * ``Message`` takes ``type``, ``size``, ``from``, ``to``;
 * ``Serial`` is written ``Serial on <machine> time = <expr>``;
-* ``Coll_Bcast`` / ``Coll_Reduce`` take ``size`` and an optional
-  ``root`` (default 0); ``Coll_Allreduce`` / ``Coll_Allgather`` take
-  ``size`` only.  Collectives are unguarded -- every process executes
-  them, as MPI requires.
+* ``Coll_<op>`` is a collective, for every op of
+  :mod:`repro.collective_schedule`: ``Coll_Bcast`` / ``Coll_Reduce`` /
+  ``Coll_Gather`` / ``Coll_Scatter`` take ``size`` and an optional
+  ``root`` (default 0); ``Coll_Allreduce`` / ``Coll_Allgather`` /
+  ``Coll_Alltoall`` take ``size`` only; ``Coll_Barrier`` takes no
+  fields.  Collectives are unguarded -- every process executes them,
+  as MPI requires.
 
 Everything that is not a ``// PEVPM`` line (i.e. the actual C code) is
 ignored, so a fully annotated source file -- like the paper's Jacobi
@@ -163,10 +166,12 @@ class _Parser:
             )
         if kind.startswith("coll_"):
             fields = dict(_split_fields(rest))
-            if "size" not in fields:
-                raise ParseError(f"line {lineno}: {word} needs size = <expr>")
             op = kind[len("coll_"):]
-            allowed = {"size"} | ({"root"} if op in ROOTED_OPS else set())
+            # A barrier moves no data, so it takes no size.
+            sized = {"size"} if op != "barrier" else set()
+            if sized - set(fields):
+                raise ParseError(f"line {lineno}: {word} needs size = <expr>")
+            allowed = sized | ({"root"} if op in ROOTED_OPS else set())
             extra = set(fields) - allowed
             if extra:
                 raise ParseError(
@@ -174,7 +179,7 @@ class _Parser:
                 )
             try:
                 return Collective(
-                    op, fields["size"], root=fields.get("root", "0"),
+                    op, fields.get("size", "0"), root=fields.get("root", "0"),
                     line=lineno,
                 )
             except ModelError as exc:

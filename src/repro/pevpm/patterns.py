@@ -2,143 +2,110 @@
 
 The PEVPM directive language models point-to-point messages; programs
 that use MPI collectives are modelled by their constituent messages
-(exactly how the runtime implements them).  This module provides the
-patterns as reusable generators that mirror
-:mod:`repro.smpi.collectives` message-for-message -- same algorithms,
-same rounds, same sizes -- so a model of a collective-using program stays
-structurally faithful to its execution:
+(exactly how the runtime implements them).  This module emits
+:func:`repro.collective_schedule.collective_schedule` -- the one
+schedule :mod:`repro.smpi.collectives` also executes -- as model
+operations, so a model of a collective-using program replays the
+runtime's messages one for one:
 
     def program(ctx):
         yield from patterns.bcast(ctx, size=1024, root=0)
         yield ctx.serial(work)
         yield from patterns.allreduce(ctx, size=8)
 
-Each pattern is validated against the measured runtime collectives in
-``tests/pevpm/test_patterns.py``.
+The same emitter lowers the ``coll_*`` directives in
+:mod:`repro.pevpm.interpreter`.  Each pattern is validated against the
+measured runtime collectives in ``tests/pevpm/test_patterns.py``.
 """
 
 from __future__ import annotations
 
-from .machine import ProcContext
+from ..collective_schedule import OPS, collective_schedule
+from .directives import ModelError
+from .machine import ANY_SOURCE, ProcContext
 
-__all__ = [
-    "barrier",
-    "bcast",
-    "reduce",
-    "allreduce",
-    "gather",
-    "scatter",
-    "allgather",
-    "alltoall",
-]
+__all__ = ["collective", "emit", "lower_collective", *OPS]
+
+
+def lower_collective(
+    op: str, rank: int, nprocs: int, size: int, root: int = 0
+) -> list[tuple]:
+    """Rank *rank*'s point-to-point schedule for one collective.
+
+    Returns ``("send", peer, size)`` / ``("recv", peer)`` records in
+    execution order (``peer`` is ``None`` for a wildcard receive): the
+    collective schedule with each combined exchange split into its send
+    followed by its receive -- the machine's sends are non-blocking, so
+    the straight-line order cannot deadlock.  Raises :class:`ModelError`
+    for invalid arguments.
+    """
+    try:
+        steps = collective_schedule(op, rank, nprocs, size, root)
+    except ValueError as exc:
+        raise ModelError(str(exc)) from None
+    out: list[tuple] = []
+    for step in steps:
+        if step[0] == "sendrecv":
+            out.append(("send", step[1], step[3]))
+            out.append(("recv", step[2]))
+        else:
+            out.append(step)
+    return out
+
+
+def emit(ctx: ProcContext, ops: list[tuple], label: str):
+    """Yield lowered ``ops`` (see :func:`lower_collective`) as machine
+    operations labelled *label*."""
+    for kind, peer, *size in ops:
+        if kind == "send":
+            yield ctx.send(peer, size[0], label=label)
+        else:
+            yield ctx.recv(ANY_SOURCE if peer is None else peer, label=label)
+
+
+def collective(ctx: ProcContext, op: str, size: int = 0, root: int = 0):
+    """Process ``ctx.procnum``'s slice of collective *op*, labelled *op*."""
+    ops = lower_collective(op, ctx.procnum, ctx.numprocs, size, root)
+    return emit(ctx, ops, op)
 
 
 def barrier(ctx: ProcContext):
     """Dissemination barrier: ceil(log2 P) rounds of 0-byte exchanges."""
-    P = ctx.numprocs
-    if P == 1:
-        return
-    mask = 1
-    while mask < P:
-        dest = (ctx.procnum + mask) % P
-        source = (ctx.procnum - mask) % P
-        # The runtime's sendrecv posts the receive first; the model's
-        # nonblocking send makes plain send+recv equivalent here.
-        yield ctx.send(dest, 0, label="barrier")
-        yield ctx.recv(source, label="barrier")
-        mask <<= 1
+    return collective(ctx, "barrier")
 
 
 def bcast(ctx: ProcContext, size: int, root: int = 0):
-    """Binomial-tree broadcast (mirrors smpi.collectives.bcast)."""
-    P = ctx.numprocs
-    if P == 1:
-        return
-    relative = (ctx.procnum - root) % P
-    if relative != 0:
-        lsb = relative & (-relative)
-        parent = (ctx.procnum - lsb) % P
-        yield ctx.recv(parent, label="bcast")
-        mask = lsb >> 1
-    else:
-        mask = 1
-        while mask < P:
-            mask <<= 1
-        mask >>= 1
-    while mask >= 1:
-        if relative + mask < P:
-            child = (ctx.procnum + mask) % P
-            yield ctx.send(child, size, label="bcast")
-        mask >>= 1
+    """Binomial-tree broadcast."""
+    return collective(ctx, "bcast", size, root)
 
 
 def reduce(ctx: ProcContext, size: int, root: int = 0):
-    """Binomial-tree reduction (mirrors smpi.collectives.reduce)."""
-    P = ctx.numprocs
-    if P == 1:
-        return
-    relative = (ctx.procnum - root) % P
-    mask = 1
-    while mask < P:
-        if relative & mask:
-            parent = (ctx.procnum - mask) % P
-            yield ctx.send(parent, size, label="reduce")
-            return
-        partner_rel = relative + mask
-        if partner_rel < P:
-            child = (ctx.procnum + mask) % P
-            yield ctx.recv(child, label="reduce")
-        mask <<= 1
+    """Binomial-tree reduction."""
+    return collective(ctx, "reduce", size, root)
 
 
 def allreduce(ctx: ProcContext, size: int):
-    """reduce-to-0 then broadcast, like the runtime."""
-    yield from reduce(ctx, size, root=0)
-    yield from bcast(ctx, size, root=0)
+    """reduce-to-0 then broadcast, like the runtime (labelled as its two
+    halves)."""
+    yield from reduce(ctx, size)
+    yield from bcast(ctx, size)
 
 
 def gather(ctx: ProcContext, size: int, root: int = 0):
     """Linear gather to *root*."""
-    P = ctx.numprocs
-    if P == 1:
-        return
-    if ctx.procnum != root:
-        yield ctx.send(root, size, label="gather")
-        return
-    for _ in range(P - 1):
-        yield ctx.recv(label="gather")
+    return collective(ctx, "gather", size, root)
 
 
 def scatter(ctx: ProcContext, size: int, root: int = 0):
     """Linear scatter from *root*."""
-    P = ctx.numprocs
-    if P == 1:
-        return
-    if ctx.procnum == root:
-        for dest in range(P):
-            if dest != root:
-                yield ctx.send(dest, size, label="scatter")
-        return
-    yield ctx.recv(root, label="scatter")
+    return collective(ctx, "scatter", size, root)
 
 
 def allgather(ctx: ProcContext, size: int):
     """Ring allgather: P-1 forwarding steps."""
-    P = ctx.numprocs
-    if P == 1:
-        return
-    right = (ctx.procnum + 1) % P
-    left = (ctx.procnum - 1) % P
-    for _ in range(P - 1):
-        yield ctx.send(right, size, label="allgather")
-        yield ctx.recv(left, label="allgather")
+    return collective(ctx, "allgather", size)
 
 
 def alltoall(ctx: ProcContext, size: int):
     """Shifted pairwise exchange: P-1 rounds."""
-    P = ctx.numprocs
-    for step in range(1, P):
-        dest = (ctx.procnum + step) % P
-        source = (ctx.procnum - step) % P
-        yield ctx.send(dest, size, label="alltoall")
-        yield ctx.recv(source, label="alltoall")
+    return collective(ctx, "alltoall", size)

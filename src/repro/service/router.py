@@ -40,7 +40,12 @@ import threading
 
 from .metrics import ServiceMetrics
 from .records import routing_key_for
-from .server import read_http_request, render_http_response
+from .server import (
+    BadRequest,
+    read_http_request,
+    reject_bad_request,
+    render_http_response,
+)
 from .sharding import DEFAULT_REPLICAS, HashRing
 
 __all__ = ["Backend", "RouterThread", "ShardRouter"]
@@ -403,6 +408,10 @@ class ShardRouter:
             while True:
                 try:
                     request = await read_http_request(reader)
+                except BadRequest as exc:
+                    writer.write(reject_bad_request(exc, self.metrics))
+                    await writer.drain()
+                    break
                 except (asyncio.IncompleteReadError, ConnectionError,
                         ValueError):
                     break

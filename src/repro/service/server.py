@@ -86,9 +86,11 @@ from .metrics import ServiceMetrics
 from .records import MODELS, PredictRequest, RequestError, prediction_record
 
 __all__ = [
+    "BadRequest",
     "PredictionService",
     "ServiceServer",
     "read_http_request",
+    "reject_bad_request",
     "render_http_response",
 ]
 
@@ -107,13 +109,23 @@ _STATUS_TEXT = {
 }
 
 
+class BadRequest(ValueError):
+    """Malformed HTTP framing; :attr:`reason` labels the rejection."""
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason = reason
+
+
 async def read_http_request(reader):
     """Read one HTTP/1.1 request from an asyncio stream.
 
     Returns ``(method, target, headers, body)`` with lower-cased header
-    names, or ``None`` on a cleanly closed connection.  Shared between
-    the shard server and the front router so both ends of a forwarded
-    request parse identically.
+    names, or ``None`` on a cleanly closed connection.  Raises
+    :class:`BadRequest` for a malformed request line or a
+    ``Content-Length`` that is not a decimal byte count.  Shared
+    between the shard server and the front router so both ends of a
+    forwarded request parse identically.
     """
     request_line = await reader.readline()
     if not request_line:
@@ -121,7 +133,7 @@ async def read_http_request(reader):
     try:
         method, target, _version = request_line.decode("latin-1").split()
     except ValueError:
-        raise ConnectionError("malformed request line")
+        raise BadRequest("request_line") from None
     headers: dict[str, str] = {}
     while True:
         line = await reader.readline()
@@ -129,9 +141,23 @@ async def read_http_request(reader):
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or 0)
+    length = headers.get("content-length") or "0"
+    if not (length.isascii() and length.isdigit()):
+        raise BadRequest("content_length")
+    length = int(length)
     body = await reader.readexactly(length) if length else b""
     return method.upper(), target, headers, body
+
+
+def reject_bad_request(exc: BadRequest, metrics: ServiceMetrics) -> bytes:
+    """Count a framing rejection in ``repro_rejected_requests_total``
+    and render its ``400`` (the connection closes: after bad framing
+    the stream position of the next request is unknown)."""
+    metrics.inc("repro_rejected_requests_total", reason=exc.reason)
+    payload = json.dumps({"error": f"malformed request: {exc.reason}"})
+    return render_http_response(
+        400, payload.encode(), "application/json", keep_alive=False
+    )
 
 
 def render_http_response(
@@ -1412,6 +1438,10 @@ class ServiceServer:
             while True:
                 try:
                     request = await self._read_request(reader)
+                except BadRequest as exc:
+                    writer.write(reject_bad_request(exc, svc.metrics))
+                    await writer.drain()
+                    break
                 except (asyncio.IncompleteReadError, ConnectionError, ValueError):
                     break
                 if request is None:

@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..simnet.engine import Event
+from .collectives import Collectives
 from .matching import Envelope, EnvelopeKind, Mailbox, PostedRecv
 from .request import Request, RequestKind
 from .status import ANY_SOURCE, ANY_TAG, RankError, Status, TagError
@@ -87,7 +88,7 @@ class CommStats:
         return self.send_time + self.recv_wait
 
 
-class Comm:
+class Comm(Collectives):
     """Per-rank communicator handle (the simulated ``MPI_COMM_WORLD``).
 
     Created by :class:`repro.smpi.runtime.MpiRun`; one instance per rank.
@@ -415,53 +416,13 @@ class Comm:
             return None
         return Status(source=env.source, tag=env.tag, size=env.size)
 
-    # -- collectives (implemented in collectives.py) ----------------------------------
+    # -- collectives (the methods come from collectives.Collectives) -----------------
     def _next_coll_tag(self) -> int:
         """Tag for the next collective: all ranks call collectives in the
         same order, so per-rank counters agree."""
         tag = MAX_USER_TAG + (self._coll_seq % MAX_USER_TAG)
         self._coll_seq += 1
         return tag
-
-    def barrier(self):
-        from . import collectives
-
-        return collectives.barrier(self)
-
-    def bcast(self, size: int, root: int = 0, payload: Any = None):
-        from . import collectives
-
-        return collectives.bcast(self, size, root, payload)
-
-    def reduce(self, size: int, root: int = 0, payload: Any = None, op=None):
-        from . import collectives
-
-        return collectives.reduce(self, size, root, payload, op)
-
-    def allreduce(self, size: int, payload: Any = None, op=None):
-        from . import collectives
-
-        return collectives.allreduce(self, size, payload, op)
-
-    def gather(self, size: int, root: int = 0, payload: Any = None):
-        from . import collectives
-
-        return collectives.gather(self, size, root, payload)
-
-    def scatter(self, size: int, root: int = 0, payloads: list | None = None):
-        from . import collectives
-
-        return collectives.scatter(self, size, root, payloads)
-
-    def allgather(self, size: int, payload: Any = None):
-        from . import collectives
-
-        return collectives.allgather(self, size, payload)
-
-    def alltoall(self, size: int, payloads: list | None = None):
-        from . import collectives
-
-        return collectives.alltoall(self, size, payloads)
 
     def split(self, color, key: int | None = None):
         """Collective communicator split (``MPI_Comm_split``).

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from .collectives import Collectives
 from .comm import MAX_USER_TAG, Comm
 from .status import ANY_SOURCE, ANY_TAG, RankError, Status, TagError
 
@@ -32,7 +33,7 @@ TAG_STRIDE = 1 << 24
 MAX_SUBCOMM_TAG = MAX_USER_TAG  # same user-facing limit as the world comm
 
 
-class SubComm:
+class SubComm(Collectives):
     """A communicator over a subset of world ranks.
 
     Exposes the same generator API as :class:`Comm`; construct via
@@ -174,46 +175,6 @@ class SubComm:
         tag = MAX_SUBCOMM_TAG // 2 + (self._coll_seq % (MAX_SUBCOMM_TAG // 2))
         self._coll_seq += 1
         return tag
-
-    def barrier(self):
-        from . import collectives
-
-        return collectives.barrier(self)
-
-    def bcast(self, size: int, root: int = 0, payload: Any = None):
-        from . import collectives
-
-        return collectives.bcast(self, size, root, payload)
-
-    def reduce(self, size: int, root: int = 0, payload: Any = None, op=None):
-        from . import collectives
-
-        return collectives.reduce(self, size, root, payload, op)
-
-    def allreduce(self, size: int, payload: Any = None, op=None):
-        from . import collectives
-
-        return collectives.allreduce(self, size, payload, op)
-
-    def gather(self, size: int, root: int = 0, payload: Any = None):
-        from . import collectives
-
-        return collectives.gather(self, size, root, payload)
-
-    def scatter(self, size: int, root: int = 0, payloads: list | None = None):
-        from . import collectives
-
-        return collectives.scatter(self, size, root, payloads)
-
-    def allgather(self, size: int, payload: Any = None):
-        from . import collectives
-
-        return collectives.allgather(self, size, payload)
-
-    def alltoall(self, size: int, payloads: list | None = None):
-        from . import collectives
-
-        return collectives.alltoall(self, size, payloads)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

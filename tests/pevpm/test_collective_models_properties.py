@@ -1,22 +1,26 @@
 """Property-based engine parity for collective directives and the
 collectives-era workloads.
 
-Random directive models mixing serial bursts and the four collective
-directives (bcast / reduce / allreduce / allgather, with random sizes
-and roots), plus random halo-stencil configurations, are evaluated on
+Random directive models mixing serial bursts and the collective
+directives (bcast / reduce / allreduce / allgather / barrier / scatter /
+alltoall, with random sizes and roots), plus random halo-stencil
+configurations, are evaluated on
 the scalar and batched virtual machines -- each both through the
 generator interpreter and through the compiled static schedules.  The
 lowered collectives are straight-line point-to-point code (sends are
 non-blocking; only receives are decision points), so every config must
 compile non-divergent and the compiled run must match the interpreted
 run bit-for-bit, under deterministic Hockney timing *and* under
-measured distribution timing.
+measured distribution timing.  ``coll_gather`` is the exception: its
+root's wildcard receives race, so it compiles divergent and both paths
+run the generator fallback -- still bit-identically.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps import amg_model, halo_model
+from repro.collective_schedule import OPS as ALL_OPS, ROOTED_OPS
 from repro.mpibench import BenchSettings, MPIBench
 from repro.pevpm import (
     BatchedVirtualMachine,
@@ -28,11 +32,15 @@ from repro.pevpm import (
     VirtualMachine,
     compile_model,
     compile_program,
+    parse_annotations,
+    predict,
     timing_from_db,
 )
 from repro.simnet import perseus
 
-OPS = ["bcast", "reduce", "allreduce", "allgather"]
+OPS = [
+    "bcast", "reduce", "allreduce", "allgather", "barrier", "scatter", "alltoall",
+]
 
 
 @pytest.fixture(scope="module")
@@ -85,12 +93,12 @@ def halo_configs(draw):
     return model, nprocs, px
 
 
-def assert_engine_parity(model, nprocs, timing, seed):
+def assert_engine_parity(model, nprocs, timing, seed, divergent=False):
     program = compile_model(model)
     compiled = compile_program(model, nprocs)
-    # Straight-line lowerings: fixed-source receives only, so the
-    # compiler can never mark the program divergent.
-    assert not compiled.divergent
+    # Straight-line lowerings with fixed-source receives never compile
+    # divergent; only coll_gather's racing wildcard receives do.
+    assert compiled.divergent == divergent
     a = VirtualMachine(nprocs, timing, seed=seed).run(program)
     b = VirtualMachine(nprocs, timing, seed=seed).run(compiled)
     assert b.elapsed == a.elapsed
@@ -140,3 +148,47 @@ def test_amg_distribution_parity(db, nprocs, nx, seed):
     model = amg_model(iterations=1, nx=nx, coarse_nx=4)
     timing = timing_from_db(db, mode="distribution", nprocs=nprocs)
     assert_engine_parity(model, nprocs, timing, seed)
+
+
+@pytest.mark.parametrize("nprocs", [3, 5])
+def test_coll_gather_is_divergent_and_matches_interpreted(db, nprocs):
+    """The root's wildcard receives race, so the compiler hands the
+    program to the generator fallback; results stay bit-identical."""
+    model = parse_annotations(
+        "// PEVPM Loop iterations = 2\n"
+        "// PEVPM {\n"
+        "// PEVPM Serial time = 1e-5 * (procnum + 1)\n"
+        "// PEVPM coll_gather size = 512 & root = 1\n"
+        "// PEVPM coll_bcast size = 8 & root = 1\n"
+        "// PEVPM }\n"
+    )
+    for timing in (
+        HockneyTiming(1e-5, 1e8),
+        timing_from_db(db, mode="distribution", nprocs=nprocs),
+    ):
+        assert_engine_parity(model, nprocs, timing, seed=11, divergent=True)
+
+
+@pytest.mark.parametrize("op", ALL_OPS)
+def test_every_coll_directive_predicts(db, op):
+    """Each ``coll_*`` directive parses, lowers and predicts, with the
+    compiled and interpreted paths agreeing on the scalar and batched
+    engines."""
+    fields = "" if op == "barrier" else "size = 1024"
+    if op in ROOTED_OPS:
+        fields += " & root = 2"
+    model = parse_annotations(
+        "// PEVPM Serial time = 2e-5\n"
+        f"// PEVPM coll_{op} {fields}\n"
+        "// PEVPM Serial time = 1e-5\n"
+    )
+    timing = timing_from_db(db, mode="distribution", nprocs=4)
+    times = None
+    for vector_runs in (False, True):
+        for compiled in (False, True):
+            pred = predict(model, 4, timing, runs=4, seed=5,
+                           vector_runs=vector_runs, compiled=compiled)
+            assert all(t > 3e-5 for t in pred.times)
+            if compiled:
+                assert pred.times == times
+            times = pred.times

@@ -159,6 +159,31 @@ int main() { /* real C code */
         with pytest.raises(ParseError, match="line 4"):
             parse_annotations(text)
 
+    @pytest.mark.parametrize("op", ["bcast", "reduce", "gather", "scatter"])
+    def test_collective_root_accepted_on_rooted_ops(self, op):
+        block = parse_annotations(f"// PEVPM coll_{op} size = 64 & root = 2")
+        (coll,) = block.children
+        assert (coll.op, coll.size, coll.root) == (op, "64", "2")
+
+    @pytest.mark.parametrize("op", ["allreduce", "allgather", "alltoall"])
+    def test_collective_root_rejected_on_rootless_ops(self, op):
+        assert parse_annotations(f"// PEVPM coll_{op} size = 64").children
+        with pytest.raises(ParseError, match="does not take"):
+            parse_annotations(f"// PEVPM coll_{op} size = 64 & root = 2")
+
+    def test_barrier_takes_no_fields(self):
+        (coll,) = parse_annotations("// PEVPM coll_barrier").children
+        assert coll.op == "barrier"
+        for fields in ("root = 2", "size = 8"):
+            with pytest.raises(ParseError, match="does not take"):
+                parse_annotations(f"// PEVPM coll_barrier {fields}")
+
+    def test_collective_errors(self):
+        with pytest.raises(ParseError, match="needs size"):
+            parse_annotations("// PEVPM coll_gather root = 0")
+        with pytest.raises(ParseError, match="unknown collective"):
+            parse_annotations("// PEVPM coll_scan size = 8")
+
 
 class TestJacobiFigure5:
     def test_parses(self):

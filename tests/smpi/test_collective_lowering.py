@@ -3,16 +3,22 @@
 ``repro.pevpm.lower_collective`` claims to produce, per rank, the same
 point-to-point schedule the simulated MPI collectives execute --
 binomial tree for bcast/reduce (same lowest-set-bit parent and mask
-walk), allreduce as reduce-to-0 + bcast-from-0, and the (P-1)-step ring
-allgather.  Here each ``smpi`` generator is driven against a recording
-stub communicator and its message sequence is compared against the
-lowered schedule, operation for operation, across the awkward tree
-shapes: a single rank (empty schedule), non-power-of-two sizes (ragged
-binomial trees), and broadcast/reduction roots other than 0.
+walk), allreduce as reduce-to-0 + bcast-from-0, the (P-1)-step ring
+allgather, the dissemination barrier, linear gather/scatter and the
+shifted pairwise alltoall.  Here each ``smpi`` generator is driven
+against a recording stub communicator and its message sequence is
+compared against the lowered schedule, operation for operation, across
+the awkward tree shapes: a single rank (empty schedule),
+non-power-of-two sizes (ragged binomial trees), and roots other than 0.
 """
+
+import ast
+import inspect
+from types import SimpleNamespace
 
 import pytest
 
+from repro import collective_schedule
 from repro.pevpm import lower_collective
 from repro.smpi import collectives
 
@@ -23,7 +29,8 @@ class RecordingComm:
     """Stands in for an smpi communicator: records the message pattern
     instead of simulating it.
 
-    Receives return ``(None, None)`` payload/status pairs, except
+    Receives return a ``None`` payload with a status naming the source
+    (rank 0 for a wildcard, enough for the gather's indexing), except
     ``wait`` which returns the ``(origin, block)`` tuple the ring
     allgather forwards -- origin 0 keeps its indexing happy without
     simulating delivery.  An ``irecv`` is logged when it completes (at
@@ -45,7 +52,7 @@ class RecordingComm:
 
     def recv(self, source=None, tag=0):
         self.log.append(("recv", source))
-        return (None, None)
+        return (None, SimpleNamespace(source=source or 0))
         yield
 
     def irecv(self, source=None, tag=0):
@@ -82,17 +89,25 @@ def recorded(op: str, rank: int, nprocs: int, size: int, root: int = 0):
         drive(collectives.bcast(comm, size, root=root))
     elif op == "reduce":
         drive(collectives.reduce(comm, size, root=root))
+    elif op == "gather":
+        drive(collectives.gather(comm, size, root=root))
+    elif op == "scatter":
+        drive(collectives.scatter(comm, size, root=root))
     elif op == "allreduce":
         drive(collectives.allreduce(comm, size))
     elif op == "allgather":
         drive(collectives.allgather(comm, size))
+    elif op == "alltoall":
+        drive(collectives.alltoall(comm, size))
+    elif op == "barrier":
+        drive(collectives.barrier(comm))
     else:
         raise AssertionError(op)
     return comm.log
 
 
 @pytest.mark.parametrize("nprocs", NPROCS)
-@pytest.mark.parametrize("op", ["bcast", "reduce"])
+@pytest.mark.parametrize("op", ["bcast", "reduce", "gather", "scatter"])
 def test_rooted_tree_matches_lowering_for_every_root(op, nprocs):
     for root in range(nprocs):
         for rank in range(nprocs):
@@ -101,7 +116,7 @@ def test_rooted_tree_matches_lowering_for_every_root(op, nprocs):
 
 
 @pytest.mark.parametrize("nprocs", NPROCS)
-@pytest.mark.parametrize("op", ["allreduce", "allgather"])
+@pytest.mark.parametrize("op", ["allreduce", "allgather", "barrier", "alltoall"])
 def test_rootless_matches_lowering(op, nprocs):
     for rank in range(nprocs):
         expected = lower_collective(op, rank, nprocs, 512)
@@ -109,7 +124,8 @@ def test_rootless_matches_lowering(op, nprocs):
 
 
 def test_single_rank_schedules_are_empty():
-    for op in ("bcast", "reduce", "allreduce", "allgather"):
+    for op in ("bcast", "reduce", "allreduce", "allgather",
+               "barrier", "gather", "scatter", "alltoall"):
         assert lower_collective(op, 0, 1, 4096) == []
         assert recorded(op, 0, 1, 4096) == []
 
@@ -162,3 +178,34 @@ def test_allgather_ring_shape():
         left = (rank - 1) % nprocs
         assert ops[0::2] == [("send", right, 128)] * (nprocs - 1)
         assert ops[1::2] == [("recv", left)] * (nprocs - 1)
+
+
+def test_every_op_is_covered_and_the_schedule_is_a_leaf():
+    """The recorded comparisons above cover every op of the schedule,
+    and the schedule imports nothing from the package (so the model
+    side can use it without pulling in the simulator)."""
+    assert set(collective_schedule.OPS) == {
+        "bcast", "reduce", "gather", "scatter",
+        "allreduce", "allgather", "barrier", "alltoall",
+    }
+    tree = ast.parse(inspect.getsource(collective_schedule))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and node.module == "__future__"
+        assert not isinstance(node, ast.Import)
+
+
+def test_invalid_arguments_raise_per_layer_errors():
+    from repro.pevpm import ModelError
+
+    for args in (("bcast", 0, 4, 8, 4), ("gather", 0, 4, 8, -1),
+                 ("reduce", 4, 4, 8), ("allgather", 0, 0, 8),
+                 ("alltoall", 0, 4, -1), ("scan", 0, 4, 8)):
+        with pytest.raises(ValueError):
+            collective_schedule.collective_schedule(*args)
+        with pytest.raises(ModelError):
+            lower_collective(*args)
+    # Non-rooted ops ignore the root argument.
+    assert lower_collective("allgather", 0, 3, 8, root=7) == lower_collective(
+        "allgather", 0, 3, 8
+    )
